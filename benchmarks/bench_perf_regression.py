@@ -31,6 +31,7 @@ from run_benchmarks import (
     bench_service,
     bench_shards,
     bench_stabilizer,
+    bench_subgraph,
 )
 from conftest import write_bench_json
 
@@ -88,20 +89,25 @@ def test_matching_and_scheduler_caches(perf_scale):
     measurable dispatch overhead over the legacy policy objects (ceiling
     1.5x on a pure-routing trace) and route identically, so the unified
     policy API cannot silently regress the hot path the two cache floors
-    guard.
+    guard.  The subgraph-search kernel rides along too: it must yield
+    networkx's embeddings exactly and beat its ``GraphMatcher`` by >= 5x.
     """
     matching = bench_matching(perf_scale)
+    subgraph = bench_subgraph(perf_scale, subgraph_floor=5.0)
     scheduler = bench_scheduler(perf_scale, scheduler_floor=2.0)
     policy_dispatch = bench_policy_dispatch(perf_scale, dispatch_ceiling=1.5)
     assert matching["speedup"] > 1.0
     assert matching["cache"]["hits"] > 0
     assert scheduler["speedup"] >= 2.0
     assert policy_dispatch["overhead"] <= 1.5
+    assert subgraph["identical"] is True
+    assert subgraph["speedup"] >= 5.0
     write_bench_json(
         "BENCH_matching.json",
         {
             "scale": perf_scale,
             "matching": matching,
+            "subgraph": subgraph,
             "scheduler": scheduler,
             "policy_dispatch": policy_dispatch,
         },

@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from repro.backends.topologies import CouplingMap, coupling_to_graph, is_connected
+from repro.backends.topologies import CouplingMap, DeviceTopology, coupling_to_graph, is_connected
 from repro.simulators.noise import NoiseModel
 from repro.utils.exceptions import BackendError
 from repro.utils.validation import require_name, require_positive_int, require_probability
@@ -132,6 +132,23 @@ class BackendProperties:
     def graph(self):
         """The coupling map as a :class:`networkx.Graph`."""
         return coupling_to_graph(self.num_qubits, self.coupling_map)
+
+    def topology(self) -> DeviceTopology:
+        """Shared adjacency and hop distances of the coupling map.
+
+        Cached process-wide by content, ``(num_qubits, tuple(coupling_map))``,
+        in :func:`repro.core.cache.topology_cache`.  The cache module is
+        imported lazily because ``repro.core``'s package init imports this
+        package.
+        """
+        from repro.core.cache import topology_cache
+
+        key = (self.num_qubits, tuple(self.coupling_map))
+        topology = topology_cache().get(key)
+        if topology is None:
+            topology = DeviceTopology.build(self.num_qubits, self.coupling_map)
+            topology_cache().put(key, topology)
+        return topology
 
     def is_connected(self) -> bool:
         """``True`` when every qubit is reachable from every other qubit."""

@@ -15,7 +15,8 @@ graph algorithm is needed.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 import networkx as nx
 
@@ -45,6 +46,57 @@ def coupling_to_graph(num_qubits: int, coupling_map: Iterable[Sequence[int]]) ->
     graph.add_nodes_from(range(num_qubits))
     graph.add_edges_from(_normalise(coupling_map))
     return graph
+
+
+@dataclass(frozen=True)
+class DeviceTopology:
+    """Adjacency lists and all-pairs hop distances of one coupling map.
+
+    ``adjacency[q]`` lists the neighbours of qubit ``q`` in exactly the order
+    :func:`coupling_to_graph` reports them, so code that walks a device's
+    neighbours keeps the order (and float-summation order) it had over the
+    networkx graph.  ``distances[a][b]`` is the hop count between ``a`` and
+    ``b`` (``None`` when they are disconnected).  Instances are immutable and
+    shared between threads through
+    :meth:`~repro.backends.properties.BackendProperties.topology`.
+    """
+
+    num_qubits: int
+    adjacency: Tuple[Tuple[int, ...], ...]
+    neighbour_sets: Tuple[FrozenSet[int], ...]
+    distances: Tuple[Tuple[Optional[int], ...], ...]
+
+    @classmethod
+    def build(cls, num_qubits: int, coupling_map: Iterable[Sequence[int]]) -> "DeviceTopology":
+        """Derive adjacency and breadth-first hop distances from a coupling map."""
+        graph = coupling_to_graph(num_qubits, coupling_map)
+        adjacency = tuple(tuple(graph[qubit]) for qubit in range(num_qubits))
+        distances = []
+        for source in range(num_qubits):
+            row: List[Optional[int]] = [None] * num_qubits
+            row[source] = 0
+            frontier = [source]
+            hops = 0
+            while frontier:
+                hops += 1
+                reached = []
+                for qubit in frontier:
+                    for neighbour in adjacency[qubit]:
+                        if row[neighbour] is None:
+                            row[neighbour] = hops
+                            reached.append(neighbour)
+                frontier = reached
+            distances.append(tuple(row))
+        return cls(
+            num_qubits=num_qubits,
+            adjacency=adjacency,
+            neighbour_sets=tuple(frozenset(neighbours) for neighbours in adjacency),
+            distances=tuple(distances),
+        )
+
+    def has_edge(self, a: int, b: int) -> bool:
+        """``True`` when qubits ``a`` and ``b`` are coupled."""
+        return b in self.neighbour_sets[a]
 
 
 def is_connected(num_qubits: int, coupling_map: Iterable[Sequence[int]]) -> bool:

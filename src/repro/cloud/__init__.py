@@ -8,15 +8,14 @@ This subpackage supplies the missing substrate so the multi-job future-work
 direction can be evaluated end to end:
 
 * :mod:`repro.scenarios.arrivals` — job-arrival traces drawn from the
-  workload suites (``repro.cloud.arrivals`` remains a deprecation shim);
+  workload suites;
 * :mod:`repro.cloud.queueing` — per-device queues and a service-time model;
 * :mod:`repro.cloud.policies` — allocation policies from random through
   queue-aware fidelity scheduling;
 * :mod:`repro.cloud.calibration` — calibration-cycle drift models;
 * :mod:`repro.cloud.simulation` — the discrete-event simulator tying the
   pieces together;
-* :mod:`repro.scenarios.metrics` — wait/fairness/utilisation metrics
-  (``repro.cloud.metrics`` remains a deprecation shim).
+* :mod:`repro.scenarios.metrics` — wait/fairness/utilisation metrics.
 """
 
 from repro.cloud.calibration import CalibrationDriftModel, drift_fleet, drift_history

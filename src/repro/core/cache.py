@@ -29,6 +29,9 @@ This module provides the shared memoization layer those paths use:
   domain caches, with module-level shared instances wired into
   ``repro.matching.scoring``, ``repro.matching.scalable``,
   ``repro.fidelity.canary`` and ``repro.cloud.simulation``.
+* :func:`topology_cache` — each coupling map's adjacency lists and
+  all-pairs hop distances, keyed by the coupling-map content and read
+  through :meth:`repro.backends.properties.BackendProperties.topology`.
 
 Call :func:`clear_all_caches` between unrelated experiments (or rely on LRU
 eviction); :func:`all_cache_stats` reports fleet-wide hit rates, which the
@@ -58,6 +61,7 @@ __all__ = [
     "ideal_distribution_cache",
     "plan_cache",
     "merged_program_cache",
+    "topology_cache",
     "clear_all_caches",
     "all_cache_stats",
 ]
@@ -496,6 +500,8 @@ _EMBEDDING_CACHE = EmbeddingCache()
 _IDEAL_DISTRIBUTION_CACHE = IdealDistributionCache()
 _PLAN_CACHE = PlanCache()
 _MERGED_PROGRAM_CACHE = MergedProgramCache()
+#: Per-topology adjacency and hop distances, keyed by coupling-map content.
+_TOPOLOGY_CACHE = LRUCache(maxsize=256)
 
 
 def embedding_cache() -> EmbeddingCache:
@@ -518,12 +524,25 @@ def merged_program_cache() -> MergedProgramCache:
     return _MERGED_PROGRAM_CACHE
 
 
+def topology_cache() -> LRUCache:
+    """The process-wide per-topology adjacency/distance cache.
+
+    Keys are the coupling-map *content* ``(num_qubits, tuple(coupling_map))``
+    — never a device name, ``hash()`` or ``id()`` — so two devices that share
+    a name but not their couplings get different entries, and same-shaped
+    devices share one.  Values are immutable
+    :class:`~repro.backends.topologies.DeviceTopology` objects.
+    """
+    return _TOPOLOGY_CACHE
+
+
 def clear_all_caches() -> None:
     """Empty every shared cache (benchmarks call this between cold runs)."""
     _EMBEDDING_CACHE.clear()
     _IDEAL_DISTRIBUTION_CACHE.clear()
     _PLAN_CACHE.clear()
     _MERGED_PROGRAM_CACHE.clear()
+    _TOPOLOGY_CACHE.clear()
 
 
 def all_cache_stats() -> Dict[str, Dict[str, float]]:

@@ -31,8 +31,9 @@ from typing import Dict, Iterable, List, Optional
 import networkx as nx
 
 from repro.backends.properties import BackendProperties
+from repro.backends.topologies import DeviceTopology
 from repro.matching.mapomatic import DeviceMatch, PatternLike, TargetLike, _as_pattern, _as_properties
-from repro.matching.scoring import _cache_key_for, embedding_cost
+from repro.matching.scoring import _cache_key_for, _embedding_cost
 from repro.matching.subgraph import Embedding, find_exact_embeddings, greedy_embedding
 from repro.utils.exceptions import MatchingError
 from repro.utils.rng import SeedLike, ensure_generator
@@ -87,9 +88,9 @@ def _pattern_density(pattern: nx.Graph) -> float:
     return pattern.number_of_edges() / (nodes * (nodes - 1) / 2.0)
 
 
-def _is_exact(pattern: nx.Graph, mapping: Dict[int, int], device_graph: nx.Graph) -> bool:
+def _is_exact(pattern: nx.Graph, mapping: Dict[int, int], topology: DeviceTopology) -> bool:
     return all(
-        device_graph.has_edge(mapping[a], mapping[b]) for a, b in pattern.edges if a in mapping and b in mapping
+        topology.has_edge(mapping[a], mapping[b]) for a, b in pattern.edges if a in mapping and b in mapping
     )
 
 
@@ -113,13 +114,15 @@ def anneal_embedding(
     if iterations <= 0:
         return initial
     rng = ensure_generator(seed)
-    device_graph = properties.graph()
+    topology = properties.topology()
     pattern_nodes = list(pattern.nodes)
     if not pattern_nodes:
         return initial
 
     current = dict(initial.mapping)
-    current_cost = embedding_cost(pattern, Embedding(current, _is_exact(pattern, current, device_graph)), properties, include_readout)
+    current_cost = _embedding_cost(
+        pattern, Embedding(current, _is_exact(pattern, current, topology)), properties, topology, include_readout
+    )
     best = dict(current)
     best_cost = current_cost
     temperature = max(initial_temperature, 1e-9)
@@ -142,10 +145,11 @@ def anneal_embedding(
             else:
                 node = pattern_nodes[int(rng.integers(0, len(pattern_nodes)))]
                 proposal[node] = int(free[int(rng.integers(0, len(free)))])
-        proposal_cost = embedding_cost(
+        proposal_cost = _embedding_cost(
             pattern,
-            Embedding(proposal, _is_exact(pattern, proposal, device_graph)),
+            Embedding(proposal, _is_exact(pattern, proposal, topology)),
             properties,
+            topology,
             include_readout,
         )
         delta = proposal_cost - current_cost
@@ -157,7 +161,7 @@ def anneal_embedding(
                 best_cost = current_cost
         temperature *= cooling
 
-    return Embedding(mapping=best, exact=_is_exact(pattern, best, device_graph))
+    return Embedding(mapping=best, exact=_is_exact(pattern, best, topology))
 
 
 def scalable_match_device(
@@ -200,8 +204,8 @@ def scalable_match_device(
             # Fresh layout dict so a caller mutating it cannot poison the cache.
             return replace(hit, layout=dict(hit.layout))
 
-    device_graph = properties.graph()
     rng = ensure_generator(seed)
+    topology = properties.topology()
 
     candidates: List[Embedding] = []
     exact_stage_allowed = (
@@ -210,7 +214,7 @@ def scalable_match_device(
         and _pattern_density(graph) <= budget.exact_density_limit
     )
     if exact_stage_allowed:
-        candidates = find_exact_embeddings(graph, device_graph, max_embeddings=budget.exact_embedding_cap)
+        candidates = find_exact_embeddings(graph, topology, max_embeddings=budget.exact_embedding_cap)
 
     if not candidates:
         for _ in range(budget.restarts):
@@ -229,7 +233,7 @@ def scalable_match_device(
             candidates.append(refined)
 
     scored = [
-        (embedding_cost(graph, candidate, properties, include_readout=include_readout), candidate)
+        (_embedding_cost(graph, candidate, properties, topology, include_readout), candidate)
         for candidate in candidates
     ]
     best_cost, best_embedding = min(scored, key=lambda item: item[0])

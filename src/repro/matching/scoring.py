@@ -23,12 +23,13 @@ Lower scores are better.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Hashable, List, Optional, Sequence, Tuple
 
 import networkx as nx
 import numpy as np
 
 from repro.backends.properties import BackendProperties
+from repro.backends.topologies import DeviceTopology
 from repro.matching.subgraph import DEFAULT_MAX_EMBEDDINGS, Embedding, find_embeddings
 from repro.utils.exceptions import MatchingError
 from repro.utils.rng import SeedLike
@@ -86,19 +87,26 @@ def embedding_cost(
     include_readout: bool = True,
 ) -> float:
     """Error cost of running ``pattern`` under ``embedding`` on the device."""
-    device_graph = properties.graph()
-    distances: Optional[Dict[int, Dict[int, int]]] = None
+    return _embedding_cost(pattern, embedding, properties, properties.topology(), include_readout)
+
+
+def _embedding_cost(
+    pattern: nx.Graph,
+    embedding: Embedding,
+    properties: BackendProperties,
+    topology: DeviceTopology,
+    include_readout: bool,
+) -> float:
+    """:func:`embedding_cost` over an already fetched ``topology`` (hot loops)."""
     cost = 0.0
     for a, b, data in pattern.edges(data=True):
         multiplicity = float(data.get("weight", 1))
         physical_a = embedding.physical(a)
         physical_b = embedding.physical(b)
-        if device_graph.has_edge(physical_a, physical_b):
+        if topology.has_edge(physical_a, physical_b):
             cost += multiplicity * properties.edge_error(physical_a, physical_b)
             continue
-        if distances is None:
-            distances = dict(nx.all_pairs_shortest_path_length(device_graph))
-        hops = distances[physical_a].get(physical_b)
+        hops = topology.distances[physical_a][physical_b]
         if hops is None:
             raise MatchingError(
                 f"Device '{properties.name}' cannot connect qubits {physical_a} and {physical_b}"
@@ -141,12 +149,13 @@ def evaluate_embeddings(
 
         hit = embedding_cache().get(key)
         if hit is not None:
-            return _copy_scored(hit)
+            return _thaw_scored(hit, properties.name)
     embeddings = find_embeddings(pattern, properties, max_embeddings=max_embeddings, seed=seed)
+    topology = properties.topology()
     scored = [
         ScoredEmbedding(
             embedding=embedding,
-            score=embedding_cost(pattern, embedding, properties, include_readout=include_readout),
+            score=_embedding_cost(pattern, embedding, properties, topology, include_readout),
             device=properties.name,
         )
         for embedding in embeddings
@@ -155,22 +164,35 @@ def evaluate_embeddings(
     if key is not None:
         from repro.core.cache import embedding_cache
 
-        # Store (and later serve) copies: Embedding.mapping is a mutable
-        # dict, and neither the cold caller nor a warm caller may be able to
-        # poison the shared cache by mutating their result.
-        embedding_cache().put(key, _copy_scored(scored))
+        # Store an immutable form and serve fresh objects: Embedding.mapping
+        # is a mutable dict, and neither the cold caller nor a warm caller may
+        # be able to poison the shared cache by mutating their result.
+        embedding_cache().put(key, _freeze_scored(scored))
     return scored
 
 
-def _copy_scored(items: Sequence[ScoredEmbedding]) -> List[ScoredEmbedding]:
-    """Defensive copies of scored embeddings (fresh mapping dicts)."""
+def _freeze_scored(items: Sequence[ScoredEmbedding]) -> Tuple[Tuple[float, bool, Tuple[int, ...]], ...]:
+    """Cache form of scored embeddings: ``(score, exact, flat mapping items)``.
+
+    One flat ``(pattern node, qubit, ...)`` tuple per embedding keeps the
+    mapping's key order at under half the memory of the objects; a topology
+    job caches up to 100 embeddings per device.
+    """
+    return tuple(
+        (item.score, item.embedding.exact, tuple(value for pair in item.embedding.mapping.items() for value in pair))
+        for item in items
+    )
+
+
+def _thaw_scored(frozen, device: str) -> List[ScoredEmbedding]:
+    """Fresh :class:`ScoredEmbedding` objects from :func:`_freeze_scored`."""
     return [
         ScoredEmbedding(
-            embedding=Embedding(mapping=dict(item.embedding.mapping), exact=item.embedding.exact),
-            score=item.score,
-            device=item.device,
+            embedding=Embedding(mapping=dict(zip(flat[::2], flat[1::2])), exact=exact),
+            score=score,
+            device=device,
         )
-        for item in items
+        for score, exact, flat in frozen
     ]
 
 

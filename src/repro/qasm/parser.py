@@ -69,7 +69,9 @@ class QASMParser:
         num_clbits = sum(reg.size for reg in self._cregs.values())
         if num_qubits == 0:
             raise QASMError("QASM program declares no qubits")
-        circuit = QuantumCircuit(num_qubits, max(num_clbits, num_qubits), name=self._name)
+        # The declared cregs size the classical register; a program without
+        # any gets one bit per qubit so a later measure_all has somewhere to go.
+        circuit = QuantumCircuit(num_qubits, num_clbits if self._cregs else num_qubits, name=self._name)
         for instruction in self._pending:
             circuit.append(instruction)
         return circuit

@@ -348,6 +348,17 @@ class ExecutionEngine(abc.ABC):
     def run(self, placement: Placement) -> EngineResult:
         """Execute a matched job and return its outcome."""
 
+    def has_classical_capacity(self, spec: JobSpec) -> bool:
+        """``True`` when some schedulable node has room for ``spec`` right now.
+
+        Matched jobs hold their node's CPU and memory until they finish, so
+        the concurrent runtime asks this before MATCHING: when it is
+        ``False`` and groups are still executing, the dispatcher waits for a
+        lane to finish instead of failing the job with "no feasible device".
+        Engines without a classical resource model always have room.
+        """
+        return True
+
     def prepare_run_batch(self, placements: Sequence[Placement]):
         """Pre-execute a same-device placement batch as one merged run.
 

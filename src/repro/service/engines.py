@@ -320,6 +320,15 @@ def _schedule_with_policy(
     )
 
 
+def _cluster_has_room(cluster: ClusterState, spec: JobSpec) -> bool:
+    """Whether any schedulable node can take ``spec``'s CPU and memory now."""
+    requirements = spec.requirements
+    return any(
+        node.can_host(requirements.cpu_millicores, requirements.memory_mb)
+        for node in cluster.schedulable_nodes()
+    )
+
+
 class OrchestratorEngine(ExecutionEngine):
     """Run jobs through the full QRIO facade (the paper's one-at-a-time path)."""
 
@@ -390,6 +399,9 @@ class OrchestratorEngine(ExecutionEngine):
         super().set_device_available(device, available)
         _set_node_availability(self.qrio.cluster, device, available)
 
+    def has_classical_capacity(self, spec: JobSpec) -> bool:
+        return _cluster_has_room(self.qrio.cluster, spec)
+
     def match(self, spec: JobSpec, job_name: str) -> Placement:
         requirements = spec.requirements
         form = (
@@ -417,32 +429,39 @@ class OrchestratorEngine(ExecutionEngine):
         else:
             form.request_fidelity(requirements.effective_fidelity_threshold)
         self.qrio.submit_form(form)
-        policy = self._policies.for_requirements(requirements)
-        if policy is not None:
-            return _schedule_with_policy(
-                self.qrio.cluster,
-                self.qrio.scheduler,
-                policy,
-                spec,
-                job_name,
-                self._policy_fidelity_cache,
+        try:
+            policy = self._policies.for_requirements(requirements)
+            if policy is not None:
+                return _schedule_with_policy(
+                    self.qrio.cluster,
+                    self.qrio.scheduler,
+                    policy,
+                    spec,
+                    job_name,
+                    self._policy_fidelity_cache,
+                )
+            # Warm path: a cached plan for (structure, device, calibration) binds
+            # the job directly — no canary ranking, no meta-server cycle.
+            plan = self._plans.lookup(spec, {b.name: b for b in self.qrio.devices()})
+            if plan is not None:
+                placement = _placement_from_plan(self.qrio.cluster, spec, job_name, plan)
+                if placement is not None:
+                    return placement
+            outcome = self.qrio.schedule_job(job_name)
+            return Placement(
+                job_name=job_name,
+                spec=spec,
+                device=outcome.device,
+                score=outcome.score,
+                num_feasible=outcome.num_filtered,
+                detail={"scores": dict(outcome.scores)},
             )
-        # Warm path: a cached plan for (structure, device, calibration) binds
-        # the job directly — no canary ranking, no meta-server cycle.
-        plan = self._plans.lookup(spec, {b.name: b for b in self.qrio.devices()})
-        if plan is not None:
-            placement = _placement_from_plan(self.qrio.cluster, spec, job_name, plan)
-            if placement is not None:
-                return placement
-        outcome = self.qrio.schedule_job(job_name)
-        return Placement(
-            job_name=job_name,
-            spec=spec,
-            device=outcome.device,
-            score=outcome.score,
-            num_feasible=outcome.num_filtered,
-            detail={"scores": dict(outcome.scores)},
-        )
+        finally:
+            # The meta server reads a job's metadata, ranking strategy (with
+            # its canary memo) and cached scores only while the job is being
+            # placed; dropping them here keeps a long-running service from
+            # holding that state for every job it has ever placed.
+            self.qrio.meta_server.clear_job(job_name)
 
     def run(self, placement: Placement) -> EngineResult:
         from repro.core.orchestrator import JobOutcome
@@ -595,6 +614,9 @@ class ClusterEngine(ExecutionEngine):
         super().set_device_available(device, available)
         _set_node_availability(self.cluster, device, available)
 
+    def has_classical_capacity(self, spec: JobSpec) -> bool:
+        return _cluster_has_room(self.cluster, spec)
+
     def match(self, spec: JobSpec, job_name: str) -> Placement:
         requirements = spec.requirements
         circuit_qasm = dump_qasm(spec.circuit)
@@ -632,33 +654,40 @@ class ClusterEngine(ExecutionEngine):
                 circuit_qasm=circuit_qasm,
             )
         self._meta.upload_job_metadata(payload)
-        job = self.cluster.submit_job(cluster_spec)
-        policy = self._policies.for_requirements(requirements)
-        if policy is not None:
-            return _schedule_with_policy(
-                self.cluster,
-                self._scheduler,
-                policy,
-                spec,
-                job_name,
-                self._policy_fidelity_cache,
+        try:
+            job = self.cluster.submit_job(cluster_spec)
+            policy = self._policies.for_requirements(requirements)
+            if policy is not None:
+                return _schedule_with_policy(
+                    self.cluster,
+                    self._scheduler,
+                    policy,
+                    spec,
+                    job_name,
+                    self._policy_fidelity_cache,
+                )
+            # Warm path: a cached plan binds the job directly, skipping the
+            # filter chain and the meta-server canary ranking.
+            plan = self._plans.lookup(spec, {b.name: b for b in self.cluster.backends()})
+            if plan is not None:
+                placement = _placement_from_plan(self.cluster, spec, job_name, plan)
+                if placement is not None:
+                    return placement
+            decision = self._scheduler.schedule(job)
+            return Placement(
+                job_name=job_name,
+                spec=spec,
+                device=None if decision.node_name is None else self.cluster.node(decision.node_name).backend.name,
+                score=decision.score,
+                num_feasible=decision.filter_report.num_feasible,
+                detail={"scores": dict(decision.scores)},
             )
-        # Warm path: a cached plan binds the job directly, skipping the
-        # filter chain and the meta-server canary ranking.
-        plan = self._plans.lookup(spec, {b.name: b for b in self.cluster.backends()})
-        if plan is not None:
-            placement = _placement_from_plan(self.cluster, spec, job_name, plan)
-            if placement is not None:
-                return placement
-        decision = self._scheduler.schedule(job)
-        return Placement(
-            job_name=job_name,
-            spec=spec,
-            device=None if decision.node_name is None else self.cluster.node(decision.node_name).backend.name,
-            score=decision.score,
-            num_feasible=decision.filter_report.num_feasible,
-            detail={"scores": dict(decision.scores)},
-        )
+        finally:
+            # The meta server reads a job's metadata, ranking strategy (with
+            # its canary memo) and cached scores only while the job is being
+            # placed; dropping them here keeps a long-running service from
+            # holding that state for every job it has ever placed.
+            self._meta.clear_job(job_name)
 
     def run(self, placement: Placement) -> EngineResult:
         job = self.cluster.job(placement.job_name)
@@ -1127,3 +1156,6 @@ class DeviceLatencyEngine(ExecutionEngine):
     def prepare_run_batch(self, placements: Sequence[Placement]):
         """Cross-job batching is the inner engine's business; latency is per-run."""
         return self._inner.prepare_run_batch(placements)
+
+    def has_classical_capacity(self, spec: JobSpec) -> bool:
+        return self._inner.has_classical_capacity(spec)

@@ -31,7 +31,12 @@ The runtime owns three pieces:
   server, session clock), and the fleet-wide caches of PR 1 make a warm
   match cheap, so the scalability win lives in overlapping *execution*, not
   matching.  Serial matching also preserves the arrival-order contract of
-  the cloud engine's discrete-event session.
+  the cloud engine's discrete-event session.  Matched groups hold their
+  node's CPU and memory until they finish, so when the engine reports no
+  node with room for the next group
+  (:meth:`~repro.service.ExecutionEngine.has_classical_capacity`) the
+  dispatcher waits for a lane to finish rather than fail that group's
+  MATCHING with "no feasible device".
 
 * **Per-device shard lanes** — a matched group is appended to the lane of
   its placed device and executed by the bounded ``ThreadPoolExecutor``
@@ -104,6 +109,8 @@ class ServiceRuntime:
         #: by the fault injector as a barrier before run-visible state
         #: changes (calibration jumps, straggler windows).
         self._quiet = threading.Condition(self._lock)
+        #: Capacity wake-up: a lane finished a group (and freed its node).
+        self._lane_done = threading.Condition(self._lock)
         self._lanes: Dict[str, Deque[Tuple[object, object]]] = {}
         self._active_lanes: Set[str] = set()
         self._closed = False
@@ -271,10 +278,22 @@ class ServiceRuntime:
     def _dispatch_loop(self) -> None:
         while True:
             with self._lock:
-                while not self._queue and not self._closed:
-                    self._work.wait()
-                if not self._queue:
-                    return  # closed and fully dispatched
+                while True:
+                    while not self._queue and not self._closed:
+                        self._work.wait()
+                    if not self._queue:
+                        return  # closed and fully dispatched
+                    # Groups waiting in lanes hold their nodes' CPU and memory.
+                    # When no node has room for the next group, wait for a lane
+                    # to finish instead of failing its MATCHING with "no
+                    # feasible device"; the group to dispatch is chosen only
+                    # once there is room, so later arrivals keep their WFQ turn.
+                    if self._executing_groups and not self._service.engine.has_classical_capacity(
+                        self._queue.peek().spec
+                    ):
+                        self._lane_done.wait()
+                        continue
+                    break
                 group = self._queue.pop()
                 tenant_id = group.spec.requirements.tenant_id
                 self._queued_jobs -= len(group.handles)
@@ -357,6 +376,7 @@ class ServiceRuntime:
             self._inflight_groups -= 1
             if ran:
                 self._executing_groups -= 1
+                self._lane_done.notify_all()
                 if self._executing_groups == 0:
                     self._quiet.notify_all()
             if self._inflight_groups == 0 and not self._queue:

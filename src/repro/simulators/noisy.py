@@ -43,6 +43,13 @@ _TWO_QUBIT_PAULIS: Tuple[Tuple[Optional[str], Optional[str]], ...] = tuple(
     for b in (None, "x", "y", "z")
     if not (a is None and b is None)
 )
+#: ``_TWO_QUBIT_PICKS[operand, label][i]``: does ``_TWO_QUBIT_PAULIS[i]`` put
+#: ``label`` on ``operand``?
+_TWO_QUBIT_PICKS = {
+    (operand, label): np.array([pair[operand] == label for pair in _TWO_QUBIT_PAULIS])
+    for operand in (0, 1)
+    for label in _PAULI_LABELS
+}
 
 
 class NoisyStatevectorSimulator:
@@ -70,7 +77,7 @@ class NoisyStatevectorSimulator:
             if instruction.name in ("barrier", "measure"):
                 continue
             matrix = instruction.matrix()
-            states = apply_matrix(states, matrix, instruction.qubits, num_qubits)
+            states = apply_matrix(states, matrix, instruction.qubits, num_qubits, overwrite=True)
             error_rate = noise_model.gate_error(instruction.qubits)
             if error_rate > 0.0:
                 states = self._inject_pauli_errors(states, instruction.qubits, error_rate, num_qubits)
@@ -120,18 +127,15 @@ class NoisyStatevectorSimulator:
                     )
             return states
         choices = self._rng.integers(0, len(_TWO_QUBIT_PAULIS), size=error_indices.size)
-        for pauli_index, (pauli_a, pauli_b) in enumerate(_TWO_QUBIT_PAULIS):
-            subset = error_indices[choices == pauli_index]
-            if subset.size == 0:
-                continue
-            if pauli_a is not None:
-                states[subset] = apply_matrix(
-                    states[subset], _PAULI_MATRICES[pauli_a], (qubits[0],), num_qubits
-                )
-            if pauli_b is not None:
-                states[subset] = apply_matrix(
-                    states[subset], _PAULI_MATRICES[pauli_b], (qubits[1],), num_qubits
-                )
+        # Every shot still gets its operand-0 Pauli, then its operand-1 Pauli;
+        # grouping shots by (operand, Pauli) only batches the calls.
+        for operand in (0, 1):
+            for label in _PAULI_LABELS:
+                subset = error_indices[_TWO_QUBIT_PICKS[operand, label][choices]]
+                if subset.size:
+                    states[subset] = apply_matrix(
+                        states[subset], _PAULI_MATRICES[label], (qubits[operand],), num_qubits
+                    )
         return states
 
     def _sample_counts(
@@ -167,10 +171,9 @@ class NoisyStatevectorSimulator:
                 flips = self._rng.random(shots) < flip_probability
                 values = values ^ flips.astype(np.uint8)
             bits[:, width - 1 - clbit] = values
-        counts: Counter = Counter(
-            "".join("1" if bit else "0" for bit in row) for row in bits
-        )
-        return dict(counts)
+        # Each row as one ASCII byte string; Counter keeps first-seen order.
+        rows = np.ascontiguousarray(bits + ord("0")).view(f"S{width}").ravel().tolist()
+        return {row.decode("ascii"): count for row, count in Counter(rows).items()}
 
 
 class NoisyStabilizerSimulator:

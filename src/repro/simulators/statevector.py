@@ -8,6 +8,8 @@ compiled circuits still implement the original computation.
 
 from __future__ import annotations
 
+import functools
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -23,42 +25,127 @@ from repro.utils.rng import SeedLike, ensure_generator
 MAX_STATEVECTOR_QUBITS = 22
 
 
-def apply_matrix(state: np.ndarray, matrix: np.ndarray, qubits: Sequence[int], num_qubits: int) -> np.ndarray:
+def apply_matrix(
+    state: np.ndarray,
+    matrix: np.ndarray,
+    qubits: Sequence[int],
+    num_qubits: int,
+    *,
+    overwrite: bool = False,
+) -> np.ndarray:
     """Apply a k-qubit ``matrix`` to ``qubits`` of ``state``.
 
     ``state`` may be a single statevector of shape ``(2**num_qubits,)`` or a
     batch of statevectors of shape ``(batch, 2**num_qubits)``; the same gate
     is applied to every batch entry (the batched form is how the Monte-Carlo
-    noisy simulator evolves all shots at once).
+    noisy simulator evolves all shots at once).  With ``overwrite=True`` the
+    input buffer may hold intermediate results, so the caller must not read
+    ``state`` afterwards; the noisy simulator's shot batches then need two
+    state-sized buffers per gate instead of three.
+
+    The general path is ``np.tensordot(gate, state)`` with its axis
+    bookkeeping precomputed per ``(batch rank, qubits, width)``: the same
+    operands reach the same ``np.dot``, so the amplitudes are bit-identical.
+    Gates with one unit entry (``±1``/``±i``) per row — CX, CZ, SWAP and the
+    Paulis — are applied as a permutation with phases instead, which is exact:
+    the BLAS sum adds only signed zeros to the one product, so every nonzero
+    amplitude comes out the same and only the sign of a zero may differ.
     """
     state = np.asarray(state, dtype=complex)
     matrix = np.asarray(matrix, dtype=complex)
     k = len(qubits)
-    if matrix.shape != (2**k, 2**k):
+    side = 2**k
+    if matrix.shape != (side, side):
         raise SimulationError(f"Matrix shape {matrix.shape} does not act on {k} qubit(s)")
+    plan = _contraction_plan(state.ndim - 1, tuple(qubits), num_qubits)
     original_shape = state.shape
-    batch_shape = original_shape[:-1]
-    batch_ndim = len(batch_shape)
-    tensor = state.reshape(batch_shape + (2,) * num_qubits)
+    tensor = state.reshape(original_shape[:-1] + (2,) * num_qubits)
+    monomial = _unit_monomial(matrix.tobytes(), side)
+    if monomial is not None:
+        result = np.empty_like(tensor)
+        for row, (column, phase) in enumerate(monomial):
+            source = tensor[plan.selectors[column]]
+            result[plan.selectors[row]] = source if phase == 1 else phase * source
+        return result.reshape(original_shape)
+    # What np.tensordot(gate_tensor, tensor, axes=(input_axes, qubit_axes))
+    # does: gate output axes first, the contracted state axes moved to the
+    # front of the operand, one np.dot.
+    gate = matrix.reshape((2,) * (2 * k)).transpose(plan.gate_axes).reshape(side, side)
+    operand = tensor.transpose(plan.state_axes).reshape(side, state.size // side)
+    target = None
+    if overwrite and state.flags.c_contiguous and not np.may_share_memory(operand, state):
+        target = state.reshape(operand.shape)
+    contracted = np.dot(gate, operand, out=target)
+    del operand
+    contracted = contracted.reshape(plan.contracted_shape(tensor.shape))
+    # Restore the canonical axis order before reshaping back.
+    return contracted.transpose(plan.restore_order).reshape(original_shape)
+
+
+@dataclass(frozen=True)
+class _ContractionPlan:
+    """Axis bookkeeping of :func:`apply_matrix` for one gate placement."""
+
+    gate_axes: Tuple[int, ...]
+    state_axes: Tuple[int, ...]
+    restore_order: Tuple[int, ...]
+    #: ``selectors[i]`` indexes the slice of the state tensor whose gate-local
+    #: basis index is ``i`` (bit ``p`` of ``i`` is the value of ``qubits[p]``).
+    selectors: Tuple[Tuple[object, ...], ...]
+
+    def contracted_shape(self, tensor_shape: Tuple[int, ...]) -> Tuple[int, ...]:
+        k = len(self.gate_axes) // 2
+        return (2,) * k + tuple(tensor_shape[axis] for axis in self.state_axes[k:])
+
+
+@functools.lru_cache(maxsize=4096)
+def _contraction_plan(batch_ndim: int, qubits: Tuple[int, ...], num_qubits: int) -> _ContractionPlan:
+    k = len(qubits)
     # Axis of qubit q in the reshaped tensor (little-endian: qubit 0 is the
     # least significant bit, i.e. the last axis).
     qubit_axes = [batch_ndim + (num_qubits - 1 - q) for q in qubits]
-    gate_tensor = matrix.reshape((2,) * (2 * k))
     input_axes = [k + (k - 1 - p) for p in range(k)]
-    contracted = np.tensordot(gate_tensor, tensor, axes=(input_axes, qubit_axes))
-    # tensordot places the gate's output axes first (most significant local
-    # bit first) followed by the uncontracted tensor axes in original order;
-    # restore the canonical axis order before reshaping back.
     total_axes = batch_ndim + num_qubits
     remaining = [axis for axis in range(total_axes) if axis not in qubit_axes]
-    current_position: Dict[int, int] = {}
+    # The contraction leaves the gate's output axes first (most significant
+    # local bit first) followed by the uncontracted axes in original order.
+    position: Dict[int, int] = {}
     for p in range(k):
-        current_position[qubit_axes[p]] = k - 1 - p
+        position[qubit_axes[p]] = k - 1 - p
     for offset, axis in enumerate(remaining):
-        current_position[axis] = k + offset
-    order = [current_position[axis] for axis in range(total_axes)]
-    restored = np.transpose(contracted, order)
-    return restored.reshape(original_shape)
+        position[axis] = k + offset
+    selectors = []
+    for local in range(2**k):
+        index: List[object] = [slice(None)] * total_axes
+        for p in range(k):
+            index[qubit_axes[p]] = (local >> p) & 1
+        selectors.append(tuple(index))
+    return _ContractionPlan(
+        gate_axes=tuple(range(k)) + tuple(input_axes),
+        state_axes=tuple(qubit_axes + remaining),
+        restore_order=tuple(position[axis] for axis in range(total_axes)),
+        selectors=tuple(selectors),
+    )
+
+
+_UNIT_PHASES = (1, -1, 1j, -1j)
+
+
+@functools.lru_cache(maxsize=1024)
+def _unit_monomial(raw: bytes, side: int) -> Optional[Tuple[Tuple[int, complex], ...]]:
+    """``((column, phase), ...)`` per row when every row holds one ``±1``/``±i``.
+
+    Keyed by the matrix bytes, so the fixed gates (CX, the Paulis) are
+    classified once.
+    """
+    matrix = np.frombuffer(raw, dtype=complex).reshape(side, side)
+    if np.count_nonzero(matrix) != side:
+        return None
+    columns = np.argmax(matrix != 0, axis=1).tolist()
+    phases = matrix[np.arange(side), columns].tolist()
+    if len(set(columns)) != side or any(phase not in _UNIT_PHASES for phase in phases):
+        return None
+    return tuple(zip(columns, phases))
 
 
 def compact_circuit(circuit: QuantumCircuit) -> Tuple[QuantumCircuit, Dict[int, int]]:

@@ -111,12 +111,36 @@ class WeightedFairQueue(Generic[T]):
         heapq.heappush(queue.heap, (key, self._tie, float(cost), item))
         self._size += 1
 
+    def peek(self) -> T:
+        """The item :meth:`pop` would return next, left in the queue.
+
+        Raises:
+            ServiceError: The queue is empty.
+        """
+        chosen_id, _, _ = self._choose()
+        return self._tenants[chosen_id].heap[0][3]
+
     def pop(self) -> T:
         """Dequeue the next item in weighted-fair virtual-time order.
 
         Raises:
             ServiceError: The queue is empty.
         """
+        chosen_id, chosen_start, chosen_finish = self._choose()
+        queue = self._tenants[chosen_id]
+        _, _, _, item = heapq.heappop(queue.heap)
+        queue.finish = chosen_finish
+        self._virtual = chosen_start
+        self._size -= 1
+        if self._size == 0:
+            # Idle reset: virtual time is only meaningful while work is
+            # queued, and resetting bounds float growth on long-lived services.
+            self._virtual = 0.0
+            self._tenants.clear()
+        return item
+
+    def _choose(self) -> Tuple[str, float, float]:
+        """``(tenant id, virtual start, virtual finish)`` of the next dequeue."""
         chosen_id: Optional[str] = None
         chosen_start = 0.0
         chosen_finish = 0.0
@@ -133,14 +157,4 @@ class WeightedFairQueue(Generic[T]):
                 chosen_id, chosen_start, chosen_finish = tenant_id, start, finish
         if chosen_id is None:
             raise ServiceError("Cannot pop from an empty WeightedFairQueue")
-        queue = self._tenants[chosen_id]
-        _, _, _, item = heapq.heappop(queue.heap)
-        queue.finish = chosen_finish
-        self._virtual = chosen_start
-        self._size -= 1
-        if self._size == 0:
-            # Idle reset: virtual time is only meaningful while work is
-            # queued, and resetting bounds float growth on long-lived services.
-            self._virtual = 0.0
-            self._tenants.clear()
-        return item
+        return chosen_id, chosen_start, chosen_finish

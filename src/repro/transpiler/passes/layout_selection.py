@@ -17,11 +17,13 @@ then materialises it.
 
 from __future__ import annotations
 
+import itertools
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import networkx as nx
 
 from repro.circuits.circuit import QuantumCircuit
+from repro.matching.subgraph import subgraph_monomorphisms
 from repro.transpiler.context import TranspileContext
 from repro.transpiler.layout import Layout
 from repro.transpiler.passes.base import TranspilerPass
@@ -72,9 +74,10 @@ def _interaction_graph(circuit: QuantumCircuit) -> nx.Graph:
 class VF2PerfectLayoutPass(TranspilerPass):
     """Search for a placement where every interaction sits on a coupled pair.
 
-    Uses VF2 subgraph-monomorphism via networkx.  Among all embeddings found
-    (capped for tractability) the one with the lowest summed two-qubit error
-    over the mapped interactions is chosen.  When no embedding exists the
+    Uses the package's subgraph-monomorphism kernel
+    (:func:`repro.matching.subgraph.subgraph_monomorphisms`).  Among the
+    first embeddings it yields (capped for tractability) the one with the
+    lowest summed two-qubit error over the mapped interactions is chosen.  When no embedding exists the
     pass leaves the context untouched so a fallback layout pass can run.
     """
 
@@ -96,21 +99,12 @@ class VF2PerfectLayoutPass(TranspilerPass):
             context.initial_layout = Layout.trivial(circuit.num_qubits)
             return circuit
         pattern = interaction.subgraph(active)
-        device_graph = target.graph()
-        pattern_degrees = sorted((d for _, d in pattern.degree()), reverse=True)
-        device_degrees = sorted((d for _, d in device_graph.degree()), reverse=True)
-        degree_feasible = len(device_degrees) >= len(pattern_degrees) and all(
-            pd <= device_degrees[i] for i, pd in enumerate(pattern_degrees)
-        )
-        if not degree_feasible:
-            # No perfect placement can exist; let the dense-layout fallback run.
-            return circuit
-        matcher = nx.algorithms.isomorphism.GraphMatcher(device_graph, pattern)
         best_layout: Optional[Dict[int, int]] = None
         best_cost = float("inf")
-        for count, mapping in enumerate(matcher.subgraph_monomorphisms_iter()):
-            if count >= self._max_embeddings:
-                break
+        embeddings = itertools.islice(
+            subgraph_monomorphisms(target.topology(), pattern), max(self._max_embeddings, 0)
+        )
+        for mapping in embeddings:
             placement = {virtual: physical for physical, virtual in mapping.items()}
             cost = _placement_error_cost(circuit, placement, target)
             if cost < best_cost:

@@ -30,18 +30,6 @@ from repro.transpiler.passes.base import TranspilerPass
 from repro.utils.exceptions import TranspilerError
 
 
-def _distance_matrix(target: BackendProperties, context: TranspileContext) -> Dict[int, Dict[int, int]]:
-    """All-pairs shortest-path distances over the coupling graph (cached)."""
-    cache_key = f"distance_matrix::{target.name}"
-    cached = context.properties.get(cache_key)
-    if cached is not None:
-        return cached
-    graph = target.graph()
-    distances = {source: dict(lengths) for source, lengths in nx.all_pairs_shortest_path_length(graph)}
-    context.properties[cache_key] = distances
-    return distances
-
-
 def _cheapest_path(target: BackendProperties, start: int, goal: int) -> List[int]:
     """Shortest path from ``start`` to ``goal`` weighted by edge error."""
     graph = target.graph()
@@ -172,7 +160,7 @@ class SabreRoutingPass(TranspilerPass):
         target = context.require_target()
         layout = context.initial_layout or Layout.trivial(circuit.num_qubits)
         state = _RoutingState(circuit, target, layout)
-        distances = _distance_matrix(target, context)
+        distances = target.topology().distances
 
         instructions, deferred_measurements = _split_final_measurements(circuit)
         successors: Dict[int, List[int]] = {i: [] for i in range(len(instructions))}
@@ -261,7 +249,7 @@ class SabreRoutingPass(TranspilerPass):
         state: _RoutingState,
         blocked: List[Instruction],
         extended: List[Instruction],
-        distances: Dict[int, Dict[int, int]],
+        distances: Sequence[Sequence[Optional[int]]],
     ) -> Tuple[int, int]:
         involved_physicals = {
             state.physical(q) for gate in blocked for q in gate.qubits

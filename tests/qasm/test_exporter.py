@@ -4,7 +4,22 @@ import math
 
 import pytest
 
-from repro.circuits import QuantumCircuit, bernstein_vazirani, qft
+from repro.circuits import (
+    QuantumCircuit,
+    bernstein_vazirani,
+    deutsch_jozsa,
+    ghz,
+    grover_search,
+    hidden_subgroup,
+    phase_estimation,
+    qaoa_maxcut,
+    qft,
+    random_clifford_circuit,
+    repetition_code_encoder,
+    ripple_carry_adder,
+    simon,
+    w_state,
+)
 from repro.qasm import dump_qasm, parse_qasm, write_qasm_file
 from repro.simulators import StatevectorSimulator
 from repro.utils.linalg import allclose_up_to_global_phase
@@ -64,3 +79,27 @@ class TestRoundTrip:
         circuit.h(0).measure(0, 2).measure(2, 0)
         recovered = parse_qasm(dump_qasm(circuit))
         assert recovered.measurement_map() == {0: 2, 2: 0}
+
+    @pytest.mark.parametrize("circuit_factory", [
+        lambda: bernstein_vazirani("101101"),
+        lambda: bernstein_vazirani(),
+        lambda: ghz(6),
+        lambda: qft(4, measure=True),
+        lambda: grover_search(3),
+        lambda: deutsch_jozsa(4),
+        lambda: simon("110"),
+        lambda: hidden_subgroup(4),
+        lambda: repetition_code_encoder(5),
+        lambda: ripple_carry_adder(2),
+        lambda: phase_estimation(3),
+        lambda: qaoa_maxcut([(0, 1), (1, 2), (2, 0)], num_qubits=3, gammas=[0.4], betas=[0.9]),
+        lambda: w_state(3, measure=True),
+        lambda: random_clifford_circuit(5, 4, seed=3, measure=True),
+    ])
+    def test_roundtrip_keeps_the_declared_classical_width(self, circuit_factory):
+        circuit = circuit_factory()
+        assert parse_qasm(dump_qasm(circuit)).num_clbits == circuit.num_clbits
+
+    def test_program_without_creg_gets_one_bit_per_qubit(self):
+        recovered = parse_qasm('OPENQASM 2.0;\nqreg q[3];\nh q[0];\n')
+        assert recovered.num_clbits == 3

@@ -376,6 +376,44 @@ class TestDeviceLanes:
             service.process()
         assert engine.max_active_total == 1  # global run lock engaged
 
+    def test_dispatch_waits_for_room_instead_of_failing_matching(self):
+        """Matched jobs hold their node's resources until they finish.
+
+        With room for two matched jobs at a time, the dispatcher must hold
+        the rest until a lane finishes; it never matches a job that has no
+        node with room.
+        """
+
+        class TwoSlotEngine(StubEngine):
+            def __init__(self):
+                super().__init__(run_seconds=0.01)
+                self.holding = 0
+                self.peak_holding = 0
+
+            def has_classical_capacity(self, spec):
+                return self.holding < 2
+
+            def match(self, spec, job_name):
+                placement = super().match(spec, job_name)
+                with self._occupancy_lock:
+                    self.holding += 1
+                    self.peak_holding = max(self.peak_holding, self.holding)
+                return placement
+
+            def run(self, placement):
+                try:
+                    return super().run(placement)
+                finally:
+                    with self._occupancy_lock:
+                        self.holding -= 1
+
+        engine = TwoSlotEngine()
+        with QRIOService(three_device_testbed(), engine, workers=2) as service:
+            handles = [service.submit(ghz(3), 0.9, shots=8 + index) for index in range(6)]
+            service.process()
+            assert all(handle.state is JobState.DONE for handle in handles)
+        assert engine.peak_holding == 2
+
     def test_batch_dedup_group_is_one_unit_of_pool_work(self):
         engine = StubEngine()
         with QRIOService(three_device_testbed(), engine, workers=2) as service:

@@ -1,8 +1,11 @@
 """Tests for the noisy execution engines."""
 
+from collections import Counter
+
+import numpy as np
 import pytest
 
-from repro.circuits import QuantumCircuit, bernstein_vazirani, ghz
+from repro.circuits import QuantumCircuit, bernstein_vazirani, ghz, qft
 from repro.simulators import (
     NoiseModel,
     NoisyStabilizerSimulator,
@@ -12,7 +15,46 @@ from repro.simulators import (
     is_clifford_circuit,
     success_probability,
 )
+from repro.simulators.noisy import _PAULI_MATRICES, _TWO_QUBIT_PAULIS
+from repro.simulators.statevector import apply_matrix
 from repro.utils.exceptions import SimulationError, StabilizerError
+
+
+class _ReferenceNoisyStatevector(NoisyStatevectorSimulator):
+    """Pauli injection one Pauli pair at a time, counts keyed by string joins."""
+
+    def _inject_pauli_errors(self, states, qubits, error_rate, num_qubits):
+        if len(qubits) == 1:
+            return super()._inject_pauli_errors(states, qubits, error_rate, num_qubits)
+        error_indices = np.nonzero(self._rng.random(states.shape[0]) < error_rate)[0]
+        if error_indices.size == 0:
+            return states
+        choices = self._rng.integers(0, len(_TWO_QUBIT_PAULIS), size=error_indices.size)
+        for pauli_index, pair in enumerate(_TWO_QUBIT_PAULIS):
+            subset = error_indices[choices == pauli_index]
+            for qubit, label in zip(qubits, pair):
+                if subset.size and label is not None:
+                    states[subset] = apply_matrix(states[subset], _PAULI_MATRICES[label], (qubit,), num_qubits)
+        return states
+
+    def _sample_counts(self, states, circuit, noise_model, shots):
+        probabilities = np.abs(states) ** 2
+        row_sums = probabilities.sum(axis=1, keepdims=True)
+        row_sums[row_sums == 0] = 1.0
+        probabilities /= row_sums
+        cumulative = np.cumsum(probabilities, axis=1)
+        draws = self._rng.random(shots)
+        outcome_indices = np.clip((cumulative < draws[:, None]).sum(axis=1), 0, probabilities.shape[1] - 1)
+        measurement_map = circuit.measurement_map() or {q: q for q in range(circuit.num_qubits)}
+        width = max(circuit.num_clbits, 1)
+        bits = np.zeros((shots, width), dtype=np.uint8)
+        for qubit in sorted(measurement_map):
+            values = (outcome_indices >> qubit) & 1
+            flip_probability = noise_model.measurement_error(qubit)
+            if flip_probability > 0.0:
+                values = values ^ (self._rng.random(shots) < flip_probability).astype(np.uint8)
+            bits[:, width - 1 - measurement_map[qubit]] = values
+        return dict(Counter("".join("1" if bit else "0" for bit in row) for row in bits))
 
 
 @pytest.fixture(scope="module")
@@ -111,3 +153,11 @@ class TestExecuteWithNoise:
         non_clifford = QuantumCircuit(1)
         non_clifford.t(0)
         assert not is_clifford_circuit(non_clifford)
+
+
+@pytest.mark.parametrize("circuit", [ghz(5), qft(4, measure=True), bernstein_vazirani("10110")], ids=["ghz", "qft", "bv"])
+def test_batched_pauli_errors_sample_like_the_per_pair_reference(circuit):
+    noise = NoiseModel.uniform(6, one_qubit_error=0.03, two_qubit_error=0.2, readout_error=0.05)
+    fast = NoisyStatevectorSimulator(seed=11).run(circuit, noise, shots=400)
+    reference = _ReferenceNoisyStatevector(seed=11).run(circuit, noise, shots=400)
+    assert list(fast.counts.items()) == list(reference.counts.items())

@@ -10,6 +10,22 @@ from repro.utils.exceptions import SimulationError
 from repro.utils.linalg import expand_operator
 
 
+def _tensordot_reference(state, matrix, qubits, num_qubits):
+    """Gate application as one np.tensordot plus an axis permutation."""
+    state = np.asarray(state, dtype=complex)
+    k = len(qubits)
+    batch_ndim = state.ndim - 1
+    tensor = state.reshape(state.shape[:-1] + (2,) * num_qubits)
+    qubit_axes = [batch_ndim + (num_qubits - 1 - q) for q in qubits]
+    gate = np.asarray(matrix, dtype=complex).reshape((2,) * (2 * k))
+    contracted = np.tensordot(gate, tensor, axes=([k + (k - 1 - p) for p in range(k)], qubit_axes))
+    remaining = [axis for axis in range(batch_ndim + num_qubits) if axis not in qubit_axes]
+    position = {axis: k - 1 - p for p, axis in enumerate(qubit_axes)}
+    position.update({axis: k + offset for offset, axis in enumerate(remaining)})
+    order = [position[axis] for axis in range(batch_ndim + num_qubits)]
+    return np.transpose(contracted, order).reshape(state.shape)
+
+
 class TestApplyMatrix:
     def test_matches_expand_operator_for_random_states(self):
         rng = np.random.default_rng(0)
@@ -28,6 +44,35 @@ class TestApplyMatrix:
         result = apply_matrix(batch, matrix, (0, 2), 3)
         for row_in, row_out in zip(batch, result):
             assert np.allclose(row_out, apply_matrix(row_in, matrix, (0, 2), 3))
+
+    def test_general_gates_are_bit_identical_to_tensordot(self):
+        rng = np.random.default_rng(2)
+        for trial in range(300):
+            num_qubits = int(rng.integers(1, 7))
+            k = int(rng.integers(1, min(num_qubits, 3) + 1))
+            qubits = tuple(int(q) for q in rng.permutation(num_qubits)[:k])
+            batch = [(), (int(rng.integers(1, 9)),)][trial % 2]
+            state = rng.normal(size=batch + (2**num_qubits,)) + 1j * rng.normal(size=batch + (2**num_qubits,))
+            matrix = rng.normal(size=(2**k, 2**k)) + 1j * rng.normal(size=(2**k, 2**k))
+            expected = _tensordot_reference(state, matrix, qubits, num_qubits)
+            assert apply_matrix(state, matrix, qubits, num_qubits).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("name", ["cx", "cz", "swap", "ccx", "x", "y", "z"])
+    def test_unit_monomial_gates_match_tensordot(self, name):
+        """Permutation-with-phase gates skip the matrix product exactly.
+
+        Only the sign of a zero amplitude may differ from the product, so
+        values (which treat -0.0 == 0.0) must be equal, not just close.
+        """
+        rng = np.random.default_rng(3)
+        matrix = gate_matrix(name)
+        k = int(np.log2(matrix.shape[0]))
+        for batch in [(), (7,)]:
+            state = rng.normal(size=batch + (32,)) + 1j * rng.normal(size=batch + (32,))
+            state[..., rng.random(32) < 0.3] = 0.0
+            qubits = tuple(int(q) for q in rng.permutation(5)[:k])
+            expected = _tensordot_reference(state, matrix, qubits, 5)
+            assert np.array_equal(apply_matrix(state, matrix, qubits, 5), expected)
 
     def test_wrong_matrix_shape_raises(self):
         with pytest.raises(SimulationError):

@@ -115,6 +115,20 @@ class TestIdleResetAndValidation:
         assert order[:2] in (["g", "f"], ["f", "g"])
         assert sorted(order[2:]) == ["f", "g"]
 
+    def test_peek_names_the_next_pop_without_consuming_it(self):
+        queue = WeightedFairQueue()
+        for index in range(3):
+            queue.push("burst", 1.0, (0, float("inf")), f"burst-{index}")
+        queue.push("trickle", 1.0, (0, float("inf")), "trickle-0")
+        order = []
+        while queue:
+            peeked = queue.peek()
+            order.append(queue.pop())
+            assert order[-1] == peeked
+        assert order == ["burst-0", "trickle-0", "burst-1", "burst-2"]
+        with pytest.raises(ServiceError):
+            queue.peek()
+
     def test_pop_empty_raises(self):
         with pytest.raises(ServiceError):
             WeightedFairQueue().pop()
